@@ -234,8 +234,6 @@ void Server::apply_journal_record(const std::string& payload) {
         const std::uint64_t id = ids_v->as_array()[i].as_uint();
         SweepJob job = job_from_json(jobs_v->as_array()[i]);
         job.max_cycles = std::min(job.max_cycles, opts_.max_cycles_cap);
-        if (opts_.sim_threads > 1 && job.cfg.sim_threads <= 1)
-          job.cfg.sim_threads = opts_.sim_threads;
         job.cancel = make_cancel_token();
         job.checkpoint_on_stop = true;
         // The deadline *budget* restarts on recovery: wall time spent
@@ -249,6 +247,7 @@ void Server::apply_journal_record(const std::string& payload) {
         JobRecord r;
         r.id = id;
         r.job = std::move(job);
+        r.key = key;
         jobs_.insert_or_assign(id, std::move(r));
         ids.push_back(id);
         std::uint64_t next = next_id_.load();
@@ -290,7 +289,8 @@ void Server::apply_journal_record(const std::string& payload) {
         r.job.initial_state = std::make_shared<const std::string>(
             base64_decode(state->as_string()));
     } else if (kind == "release") {
-      jobs_.erase(rec.get_uint("id", 0));
+      const auto it = jobs_.find(rec.get_uint("id", 0));
+      if (it != jobs_.end()) release_locked(it);
     }
   } catch (const std::exception&) {
     // A record the crash corrupted (or a schema from a future version):
@@ -505,10 +505,6 @@ std::string Server::handle_submit(const json::Value& req) {
   for (const auto& elem : jobs_v->as_array()) {
     SweepJob job = job_from_json(elem);
     job.max_cycles = std::min(job.max_cycles, opts_.max_cycles_cap);
-    // Server default for intra-job row parallelism; a job's own explicit
-    // "sim_threads" wins. Never journaled or hashed — host knob only.
-    if (opts_.sim_threads > 1 && job.cfg.sim_threads <= 1)
-      job.cfg.sim_threads = opts_.sim_threads;
     job.cancel = make_cancel_token();
     // With a journal, an interrupted run is worth saving: ask the sweep
     // to capture a resume point whenever the job is stopped early.
@@ -560,6 +556,7 @@ std::string Server::handle_submit(const json::Value& req) {
       JobRecord rec;
       rec.id = id;
       rec.job = std::move(parsed[i]);
+      rec.key = key;
       if (hits[i]) {
         // Completed on arrival. Journaled exactly like a dispatched
         // completion, so replay serves it without re-running anything.
@@ -722,7 +719,7 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
   std::string response = "{\"ok\":true,\"type\":\"result\",\"id\":" +
                          std::to_string(id) + ",\"result\":" + body + "}";
   if (release) {
-    jobs_.erase(it);
+    release_locked(it);
     lock.unlock();
     // Journaled so replay does not resurrect a record the client
     // already consumed. Unsynced: redelivering a result is harmless.
@@ -733,6 +730,17 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
     wake_result_waiters(id);
   }
   return response;
+}
+
+void Server::release_locked(std::map<std::uint64_t, JobRecord>::iterator it) {
+  const std::string key = std::move(it->second.key);
+  jobs_.erase(it);
+  if (key.empty()) return;
+  const auto k = jobs_by_key_.find(key);
+  if (k == jobs_by_key_.end()) return;
+  for (const std::uint64_t id : k->second)
+    if (jobs_.contains(id)) return;
+  jobs_by_key_.erase(k);
 }
 
 void Server::wake_result_waiters(std::uint64_t job_id) {

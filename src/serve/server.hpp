@@ -61,11 +61,6 @@ struct ServerOptions {
   /// Deadline applied to jobs that do not carry their own, in ms from
   /// submission; 0 = none.
   std::uint64_t default_deadline_ms = 0;
-  /// Host threads simulating the PE array for jobs that do not request
-  /// their own "sim_threads" (docs/THREADING.md). 1 = serial. Trades
-  /// job-level parallelism (workers) for intra-job parallelism on big
-  /// configs; results and cache keys are identical either way.
-  std::uint32_t sim_threads = 1;
   /// SIMD-over-jobs lane width for jobs that do not request their own
   /// "batch_lanes" (docs/PERF.md "Lane batching"). 1 = serial. Up to N
   /// homogeneous queued jobs execute in lockstep on one worker; results
@@ -169,6 +164,8 @@ class Server {
     /// a user cancellation (a final result) from a drain interruption
     /// (checkpointed, resumed on restart).
     bool user_cancelled = false;
+    /// The submit "key" this job was admitted under ("" = unkeyed).
+    std::string key;
   };
 
   /// Where an async `result` response must be delivered once the job
@@ -239,6 +236,11 @@ class Server {
   /// Unparseable or stale records are skipped (crash-written garbage
   /// must not keep the server from starting).
   void apply_journal_record(const std::string& payload);
+  /// Erase a consumed job record. Once no id of its submit key's group
+  /// is left, the key is dropped too, so a later submit under the same
+  /// key creates fresh jobs instead of answering with released ids.
+  /// Caller holds jobs_mu_ (or is replaying the journal).
+  void release_locked(std::map<std::uint64_t, JobRecord>::iterator it);
   /// Shared shutdown path: `park_interrupted` selects drain() semantics.
   void shutdown_impl(bool park_interrupted);
 
@@ -261,9 +263,10 @@ class Server {
   /// callback (guarded by jobs_mu_).
   std::unordered_multimap<std::uint64_t, ResultWaiter> waiters_;
   std::uint64_t next_waiter_uid_ = 1;        ///< guarded by jobs_mu_
-  /// Idempotency: submit "key" → the ids of the submit that created it.
-  /// Rebuilt from the journal on restart, so a client that resends a
-  /// keyed submit after a crash gets its original ids, not fresh jobs.
+  /// Idempotency: submit "key" → the ids of the submit that created it,
+  /// until the last of those ids is released. Rebuilt from the journal
+  /// on restart, so a client that resends a keyed submit after a crash
+  /// gets its original ids, not fresh jobs.
   std::map<std::string, std::vector<std::uint64_t>> jobs_by_key_;
   std::atomic<std::uint64_t> next_id_{1};
   std::size_t running_ = 0;                  ///< jobs in the current batch

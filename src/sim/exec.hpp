@@ -11,8 +11,6 @@
 
 namespace masc {
 
-class PEWorkerPool;
-
 /// Control-flow / thread-lifecycle outcome of executing one instruction.
 struct ExecResult {
   Addr next_pc = 0;          ///< PC the executing thread continues at
@@ -27,14 +25,7 @@ struct ExecResult {
 /// Execute one instruction for thread `t` at PC `pc`. Applies all register,
 /// flag, and memory effects to `st` and returns the control outcome.
 /// Throws SimulationError for illegal runtime actions.
-///
-/// `pool`, when non-null, fans the parallel-class row loops out over the
-/// pool's fixed PE chunks (docs/THREADING.md). Results are bit-identical
-/// with or without a pool — reductions, responder resolution, and every
-/// scalar effect stay on the calling thread — so the functional simulator
-/// and debugger simply leave it null.
-ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in,
-                   PEWorkerPool* pool = nullptr);
+ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in);
 
 namespace detail {
 

@@ -1356,7 +1356,7 @@ bool lane_batchable(const SweepJob& job) {
 Hash128 lane_batch_key(const SweepJob& job) {
   Fnv128 h;
   const MachineConfig& c = job.cfg;
-  // Same field list and order as sweep_cache_key (sim_threads excluded),
+  // Same field list and order as sweep_cache_key,
   // minus the declared lane dimensions: program.data, label, seed.
   // result_cache_test.cpp's sizeof(MachineConfig) pin keeps both lists
   // honest together.

@@ -3,7 +3,6 @@
 #include "common/bits.hpp"
 #include "isa/encoding.hpp"
 #include "isa/operands.hpp"
-#include "sim/pe_pool.hpp"
 
 namespace masc {
 
@@ -40,19 +39,6 @@ Machine::Machine(const MachineConfig& cfg)
   if ((cfg.multiplier == MultiplierKind::kNone)) {
     // Validity of MUL usage is checked at issue.
   }
-  // Host-side row parallelism (docs/THREADING.md): the pool persists for
-  // the Machine's lifetime, parked between parallel-class instructions.
-  // sim_threads == 1 keeps the seed's pool-free serial path exactly.
-  if (cfg.sim_threads > 1)
-    pool_ = std::make_unique<PEWorkerPool>(cfg.sim_threads);
-}
-
-Machine::~Machine() = default;
-Machine::Machine(Machine&&) noexcept = default;
-Machine& Machine::operator=(Machine&&) noexcept = default;
-
-std::uint32_t Machine::active_sim_threads() const {
-  return pool_ ? pool_->threads() : 1;
 }
 
 void Machine::load(const Program& program) {
@@ -273,7 +259,7 @@ void Machine::issue(ThreadId t, const DecodedEntry& de) {
       cfg.divider == DividerKind::kNone)
     throw SimulationError("DIV/REM executed but no divider configured");
 
-  const ExecResult res = execute(state_, t, pc, in, pool_.get());
+  const ExecResult res = execute(state_, t, pc, in);
   const Cycle avail = now_ + de.avail_off;
 
   // Record the destination in the instruction status table.

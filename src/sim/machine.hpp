@@ -22,7 +22,6 @@
 // an in-order machine (no speculation, no rollback).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -35,14 +34,9 @@
 
 namespace masc {
 
-class PEWorkerPool;
-
 class Machine {
  public:
   explicit Machine(const MachineConfig& cfg);
-  ~Machine();  // out of line: PEWorkerPool is incomplete here
-  Machine(Machine&&) noexcept;
-  Machine& operator=(Machine&&) noexcept;
 
   void load(const Program& program);
 
@@ -53,11 +47,6 @@ class Machine {
   Cycle now() const { return now_; }
   bool halted() const { return halted_; }
   bool finished() const;
-
-  /// Host threads actually simulating the PE array: cfg.sim_threads when
-  /// a worker pool was created, 1 otherwise. Purely informational — the
-  /// simulated results are identical either way (docs/THREADING.md).
-  std::uint32_t active_sim_threads() const;
 
   /// Advance one clock cycle. Returns false once the machine is finished.
   bool step();
@@ -127,10 +116,6 @@ class Machine {
   unsigned ex_offset(const Instruction& in) const;
 
   ArchState state_;
-  /// Present iff config().sim_threads > 1: fans the parallel-class row
-  /// loops in exec.cpp out over fixed PE chunks. Never touched by
-  /// save_state()/restore_state() — it is host machinery, not state.
-  std::unique_ptr<PEWorkerPool> pool_;
   Scoreboard scoreboard_;
   Stats stats_;
   std::vector<ThreadIssueState> tstate_;

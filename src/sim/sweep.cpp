@@ -210,9 +210,6 @@ Hash128 sweep_cache_key(const SweepJob& job) {
   h.u8(static_cast<std::uint8_t>(c.maxmin_unit));
   h.u8(static_cast<std::uint8_t>(c.regfile_impl));
   h.u8(static_cast<std::uint8_t>(c.flagfile_impl));
-  // c.sim_threads is deliberately EXCLUDED: it is a host-execution knob
-  // with bit-identical results (docs/THREADING.md), so a cached result
-  // computed at any thread count must hit for every other thread count.
   // The program image as loaded: text, data, entry. Symbols are
   // assembly-time bookkeeping the simulator never reads.
   h.u64(job.program.text.size());
@@ -232,8 +229,8 @@ Hash128 sweep_cache_key(const SweepJob& job) {
   }
   // Fabric knobs: every FabricConfig field, fixed order, preceded by a
   // presence byte so a K=1 fabric job (which still has a live mailbox)
-  // never shares a key with a bare single-Machine job. Unlike
-  // sim_threads, all of these change simulated behavior.
+  // never shares a key with a bare single-Machine job. All of these
+  // change simulated behavior.
   // result_cache_test.cpp pins sizeof(FabricConfig) to keep this list
   // complete.
   if (job.fabric) {

@@ -90,10 +90,9 @@ struct SweepJob {
   /// Lane-batching width for this job (docs/PERF.md "Lane batching"):
   /// SweepRunner may run up to this many compatible jobs in lockstep on
   /// one batched machine. 0 = inherit the runner's default
-  /// (SweepRunner::set_batch_lanes); 1 = always serial. Like
-  /// cfg.sim_threads, this is a host-execution knob with bit-identical
-  /// results, so it is deliberately EXCLUDED from sweep_cache_key() and
-  /// checkpoint identity.
+  /// (SweepRunner::set_batch_lanes); 1 = always serial. This is a
+  /// host-execution knob with bit-identical results, so it is
+  /// deliberately EXCLUDED from sweep_cache_key() and checkpoint identity.
   std::uint32_t batch_lanes = 0;
 
   // --- Checkpoint/restore (docs/RELIABILITY.md) -------------------------------

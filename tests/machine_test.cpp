@@ -260,5 +260,38 @@ TEST(Machine, SinglePEConfig) {
   EXPECT_EQ(m.state().sreg(0, 1), 5u);
 }
 
+// A parallel store that faults mid-array throws at the lowest faulting
+// PE with every lower PE already written and every higher one untouched.
+// Lane batching's per-lane ejection depends on both that partial state
+// and the exact message.
+TEST(Machine, MidArrayStoreFaultKeepsLowerPEsOnly) {
+  MachineConfig cfg;
+  cfg.num_pes = 256;
+  cfg.num_threads = 8;
+  cfg.word_width = 16;
+  cfg.validate();
+  Machine m(cfg);
+  // pindex * 8 exceeds local_mem_bytes (1024) from PE 128 up.
+  m.load(assemble(R"(
+    pindex p1
+    pmov p2, p1
+    pslli p2, p2, 3
+    psw p1, 0(p2)
+    halt
+)"));
+  try {
+    m.run(1'000'000);
+    ADD_FAILURE() << "expected a local-memory fault";
+  } catch (const SimulationError& e) {
+    EXPECT_STREQ(e.what(), "local memory write out of range");
+  }
+  const ArchState& st = m.state();
+  for (PEIndex pe = 0; pe < 256; ++pe)
+    for (Addr a = 0; a < cfg.local_mem_bytes; ++a) {
+      const Word want = pe < 128 && a == pe * 8 ? pe : 0;
+      ASSERT_EQ(st.local_mem(pe, a), want) << "pe=" << pe << " addr=" << a;
+    }
+}
+
 }  // namespace
 }  // namespace masc

@@ -347,6 +347,45 @@ TEST(ProtocolV2, ResponsesAreBitIdenticalToV1) {
   server.stop();
 }
 
+// Old clients may still send "sim_threads" (a removed host knob) inside
+// a job config. It is ignored like any unknown config key: the job is
+// accepted over v1 and v2, simulates exactly as without it, and keeps
+// the same result-cache key.
+TEST(ProtocolV2, LegacySimThreadsConfigKeyIsIgnored) {
+  Server server(test_options());  // no cache: every submit simulates
+  server.start();
+  Client c;
+  c.connect("127.0.0.1", server.port());
+  ASSERT_EQ(c.negotiate(), 2u);
+
+  JobSpec spec;
+  spec.source = reduction_kernel(6);
+  spec.label = "legacy";
+  const std::string plain = job_json(spec);
+  const std::string width = "\"width\":16";
+  std::string legacy = plain;
+  legacy.insert(legacy.find(width) + width.size(), ",\"sim_threads\":4");
+  ASSERT_NE(legacy.find("\"sim_threads\":4}"), std::string::npos) << legacy;
+
+  EXPECT_EQ(sweep_cache_key(serve::job_from_json(parse_json(plain))),
+            sweep_cache_key(serve::job_from_json(parse_json(legacy))));
+
+  auto stats_of = [&](const json::Value& sub) {
+    EXPECT_TRUE(sub.get_bool("ok", false)) << json::serialize(sub);
+    const std::uint64_t id = sub.find("ids")->as_array()[0].as_uint();
+    const json::Value res = c.request(result_request(id, true));
+    EXPECT_TRUE(res.get_bool("ok", false)) << json::serialize(res);
+    return json::serialize(*res.find("result")->find("stats"));
+  };
+  const std::string want = stats_of(c.request(submit_request({plain})));
+  EXPECT_EQ(want, json::serialize(parse_json(serial_stats_json(spec))));
+  EXPECT_EQ(stats_of(c.request(submit_request({legacy}))), want) << "v1";
+  EXPECT_EQ(stats_of(c.request_v2(v2::Op::kSubmit, submit_request({legacy}))),
+            want)
+      << "v2";
+  server.stop();
+}
+
 TEST(ProtocolV2, BinaryCacheGetMatchesTheJsonOp) {
   ServerOptions opts = test_options();
   opts.cache_bytes = 16u << 20;

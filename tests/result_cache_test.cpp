@@ -135,32 +135,17 @@ TEST(ResultCacheKey, TracksEveryMachineConfigField) {
   // order. A field added to the struct without extending that list would
   // let two differing machines share a cache key — which this size pin
   // turns into a visible failure instead of a silent wrong result.
-  // Adding a field? Extend sweep_cache_key() — or, for a host-execution
-  // knob with bit-identical results (sim_threads is the precedent),
-  // document its deliberate exclusion there — then update the size here.
-  EXPECT_EQ(sizeof(MachineConfig), 64u)
+  // Adding a field? Extend sweep_cache_key(), then update the size here.
+  EXPECT_EQ(sizeof(MachineConfig), 60u)
       << "MachineConfig changed: update sweep_cache_key() to hash the new "
          "field, then adjust this pin";
   // Same discipline for the multi-chip fabric knobs: every FabricConfig
-  // field changes simulated behavior (none is a sim_threads-style host
-  // knob), so all of them must be hashed by sweep_cache_key() when
+  // field changes simulated behavior, so all of them must be hashed by sweep_cache_key() when
   // SweepJob::fabric is set. fabric_test.cpp covers the behavior; this
   // pin catches the silently-added field.
   EXPECT_EQ(sizeof(fabric::FabricConfig), 24u)
       << "FabricConfig changed: update sweep_cache_key() to hash the new "
          "field, then adjust this pin";
-}
-
-TEST(ResultCacheKey, IgnoresSimThreadsByDesign) {
-  // sim_threads is a host-execution knob with a bit-identity contract
-  // (docs/THREADING.md): a result computed at any thread count must be
-  // served to every other thread count, so the key excludes it.
-  SweepJob serial = make_job(reduction_kernel(4));
-  SweepJob pooled = make_job(reduction_kernel(4));
-  serial.cfg.sim_threads = 1;
-  pooled.cfg.sim_threads = 8;
-  EXPECT_EQ(sweep_cache_key(serial), sweep_cache_key(pooled))
-      << "sim_threads must not split the cache key";
 }
 
 TEST(ResultCacheKey, DependsOnEveryDeterminismInput) {

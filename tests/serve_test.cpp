@@ -1081,6 +1081,90 @@ TEST(ServeCache, CacheHitIsJournaledAsCompletedJob) {
   std::remove(journal_path.c_str());
 }
 
+// A submit "key" dedups resends only while its jobs are alive: once the
+// last id of the keyed group is released, the same keyed submit creates
+// fresh jobs instead of answering with dead ids. Journal replay of the
+// release records applies the same rule after a restart.
+TEST(ServeServer, KeyedResubmitAfterReleaseCreatesFreshJobs) {
+  const std::string journal_path = testing::TempDir() + "masc_keyrelease_" +
+                                   std::to_string(::getpid()) + ".journal";
+  std::remove(journal_path.c_str());
+  ServerOptions opts = test_options();
+  opts.journal_path = journal_path;
+
+  JobSpec quick;
+  quick.source = reduction_kernel(4);
+  quick.label = "keyed";
+  const std::string submit =
+      submit_request({job_json(quick), job_json(quick)}, "\"key\":\"k1\"");
+  const std::string want_stats =
+      json::serialize(parse_json(serial_stats_json(quick)));
+  auto fetch_release = [](Client& c, std::uint64_t id) {
+    const json::Value r = c.request(
+        "{\"op\":\"result\",\"id\":" + std::to_string(id) +
+        ",\"wait\":true,\"timeout_ms\":30000,\"release\":true}");
+    EXPECT_TRUE(r.get_bool("ok", false)) << json::serialize(r);
+  };
+
+  std::vector<std::uint64_t> first;
+  {
+    Server server(opts);
+    server.start();
+    Client c;
+    c.connect("127.0.0.1", server.port());
+    first = submit_ok(c, {job_json(quick), job_json(quick)}, "\"key\":\"k1\"");
+
+    // Before release a resend is a duplicate carrying the original ids,
+    // even after one of the two jobs has been released.
+    fetch_release(c, first[0]);
+    const json::Value dup = c.request(submit);
+    EXPECT_TRUE(dup.get_bool("duplicate", false)) << json::serialize(dup);
+    EXPECT_EQ(dup.find("ids")->as_array()[1].as_uint(), first[1]);
+
+    // Last id released: the key goes with it.
+    fetch_release(c, first[1]);
+    const json::Value fresh = c.request(submit);
+    ASSERT_TRUE(fresh.get_bool("ok", false)) << json::serialize(fresh);
+    EXPECT_FALSE(fresh.get_bool("duplicate", false)) << json::serialize(fresh);
+    const std::uint64_t id = fresh.find("ids")->as_array()[0].as_uint();
+    EXPECT_GT(id, first[1]);
+    EXPECT_EQ(result_stats_of(c, id), want_stats);
+    server.stop();
+  }
+
+  // Restart on the journal: the replayed key points at the live second
+  // group, so a resend is its duplicate; releasing that group drops the
+  // key again.
+  {
+    Server server(opts);
+    server.start();
+    Client c;
+    c.connect("127.0.0.1", server.port());
+    const json::Value dup = c.request(submit);
+    ASSERT_TRUE(dup.get_bool("duplicate", false)) << json::serialize(dup);
+    const std::vector<std::uint64_t> second = {
+        dup.find("ids")->as_array()[0].as_uint(),
+        dup.find("ids")->as_array()[1].as_uint()};
+    EXPECT_GT(second[0], first[1]);
+    fetch_release(c, second[0]);
+    fetch_release(c, second[1]);
+    server.stop();
+  }
+  {
+    Server server(opts);
+    server.start();
+    Client c;
+    c.connect("127.0.0.1", server.port());
+    const json::Value fresh = c.request(submit);
+    ASSERT_TRUE(fresh.get_bool("ok", false)) << json::serialize(fresh);
+    EXPECT_FALSE(fresh.get_bool("duplicate", false)) << json::serialize(fresh);
+    const std::uint64_t id = fresh.find("ids")->as_array()[0].as_uint();
+    EXPECT_EQ(result_stats_of(c, id), want_stats);
+    server.stop();
+  }
+  std::remove(journal_path.c_str());
+}
+
 // --- cache ops over the wire (docs/CACHE.md) ---------------------------
 
 TEST(ServeCache, CacheGetServesTheEncodedRunBitIdentically) {
